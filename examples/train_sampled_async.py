@@ -1,18 +1,18 @@
-"""Async double-buffered sampled training, end to end.
+"""Sampled mini-batch training, inline and prefetched, end to end.
 
-Trains GNMR on a ``taobao_like`` multi-behavior graph through the three
-propagation modes and compares them:
+Trains GNMR on a ``taobao_like`` multi-behavior graph through both
+training paths and compares them:
 
 1. ``full`` — whole-graph propagation every step (the bit-reproducible
    reference);
-2. ``sampled`` — fanout-capped monolithic subgraph blocks with row-sparse
-   gradients;
-3. ``async`` — the double-buffered pipeline: pre-drawn batch stream,
-   per-hop layered blocks extracted by a background worker, a per-hop
-   fanout schedule ``(10, 5)``.
+2. ``sampled`` — per-hop layered blocks with a fanout schedule
+   ``(10, 5)`` and row-sparse gradients, extracted inline;
+3. ``async`` — the same blocks prefetched by a background worker,
+   double-buffered ahead of the optimizer.
 
-Also demonstrates the determinism contract: ``workers=0`` (inline) and
-``workers=1`` (background thread) produce identical loss trajectories.
+Also demonstrates the determinism contract: ``sampled`` (inline) and
+``async`` with ``workers=1`` (background thread) produce identical loss
+trajectories.
 
 Run::
 
@@ -60,7 +60,8 @@ def main():
     rows = []
     for label, kwargs in [
         ("full", dict()),
-        ("sampled fanout=10", dict(propagation="sampled", fanout=10)),
+        ("sampled fanout=(10,5)",
+         dict(propagation="sampled", fanout=(10, 5))),
         ("async fanout=(10,5) workers=1",
          dict(propagation="async", fanout=(10, 5), workers=1)),
     ]:
@@ -75,17 +76,19 @@ def main():
     for label, elapsed, _, _ in rows[1:]:
         print(f"  {label:32s} {full_time / elapsed:5.2f}x")
 
-    # determinism: inline (workers=0) replays the async streams exactly
+    # determinism: inline extraction replays the prefetched streams exactly
     losses = {}
-    for workers in (0, 1):
+    for propagation in ("sampled", "async"):
         model = make_model(split)
         config = TrainConfig(epochs=3, steps_per_epoch=6, batch_users=16,
-                             per_user=2, seed=0, propagation="async",
-                             fanout=(10, 5), workers=workers)
-        losses[workers] = Trainer(model, split.train, config).run().series("loss")
-    assert losses[0] == losses[1], "workers=0 and workers=1 must match"
-    print("\nasync-vs-sync loss trajectories identical at workers<=1:",
-          [round(x, 4) for x in losses[1]])
+                             per_user=2, seed=0, propagation=propagation,
+                             fanout=(10, 5), workers=1)
+        losses[propagation] = (
+            Trainer(model, split.train, config).run().series("loss"))
+    assert losses["sampled"] == losses["async"], \
+        "sampled and async must match"
+    print("\nsampled-vs-async loss trajectories identical:",
+          [round(x, 4) for x in losses["async"]])
 
 
 if __name__ == "__main__":

@@ -485,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--propagation", default="full",
                          choices=["full", "sampled", "async"],
                          help="training propagation: full graph every step "
-                              "(bit-reproducible), fanout-capped sampled "
-                              "subgraphs with row-sparse gradients (step "
-                              "cost scales with the batch), or the async "
-                              "double-buffered pipeline over per-hop "
-                              "layered blocks (fastest)")
+                              "(bit-reproducible), or fanout-capped per-hop "
+                              "sampled blocks with row-sparse gradients "
+                              "(step cost scales with the batch) — "
+                              "'sampled' extracts blocks inline, 'async' "
+                              "prefetches them on --workers threads")
     p_train.add_argument("--fanout", type=_fanout_arg, default=_FANOUT_UNSET,
                          help="neighbors sampled per node per behavior per "
                               "hop on the sampled/async paths: one int for "
@@ -498,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "default 10)")
     p_train.add_argument("--workers", type=int, default=None,
                          help="background block-extraction threads for "
-                              "--propagation async (0 = inline; default 1)")
+                              "--propagation async (0 = inline; default 1; "
+                              "--propagation sampled always runs inline)")
     p_train.add_argument("--shards", type=int, default=None,
                          help="partition the user/item embedding tables "
                               "across K logical shards (parameter-server "
@@ -517,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max steps the trainer may lead the slowest "
                               "shard owner under --dist async (0 = sync)")
     p_train.add_argument("--dist-transport", default="shm",
-                         choices=["shm", "pipe", "inline"],
+                         choices=["shm", "inline"],
                          help="gradient transport for --dist: shared-memory "
-                              "rings (default), pipe fallback, or in-process "
-                              "inline mode")
+                              "rings (default) or the in-process inline "
+                              "reference (no subprocesses)")
     p_train.add_argument("--shard-strategy", default="range",
                          choices=["range", "hash"],
                          help="row partitioning: contiguous ranges or "

@@ -12,8 +12,6 @@ import numpy as np
 from repro.nn import init as init_schemes
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, functional as F
-from repro.tensor.sparse import SparseAdjacency
-from repro.tensor.tensor import stack
 
 
 class BehaviorEmbeddingLayer(Module):
@@ -185,15 +183,3 @@ class GNMRPropagationLayer(Module):
         else:
             fused = stacked.mean(axis=1)
         return fused
-
-    def propagate_side(self, adjacencies: list[SparseAdjacency],
-                       source: Tensor) -> Tensor:
-        """Messages for one side from explicit per-behavior adjacencies.
-
-        Convenience path (tests, ad-hoc use): aggregates with K separate
-        SpMMs and defers to :meth:`forward`. Models go through the
-        :class:`~repro.graph.engine.PropagationEngine`, which fuses the K
-        products into one stacked SpMM instead.
-        """
-        per_type = [adjacency.matmul(source) for adjacency in adjacencies]
-        return self.forward(stack(per_type, axis=1))

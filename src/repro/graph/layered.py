@@ -1,25 +1,22 @@
-"""Layered (per-hop) sampled blocks — the async pipeline's block format.
+"""Layered (per-hop) sampled blocks — the mini-batch training block format.
 
-The monolithic :class:`~repro.graph.subgraph.SubgraphBlock` runs every
-propagation layer over the *entire* sampled node set, yet layer ``l``'s
-output is only consumed where layer ``l+1`` aggregates — and the final
-matching reads seed rows alone. For a 2-layer model with a 25k-node block
-and a few hundred seeds, that is ~2×25k node-layer evaluations where ~3k
-would do. This module holds the GraphSAGE/DGL-"MFG"-style alternative: a
-*layered* block with one shrinking bipartite sub-adjacency per hop, so
-layer ``l`` computes exactly the rows layer ``l+1`` needs and the top
-layer computes seeds only.
+A sampled block only needs layer ``l``'s output where layer ``l+1``
+aggregates, and the final matching reads seed rows alone. This module
+holds the GraphSAGE/DGL-"MFG"-style block: one shrinking bipartite
+sub-adjacency per hop, so layer ``l`` computes exactly the rows layer
+``l+1`` needs and the top layer computes seeds only. For a 2-layer model
+with a 25k-node neighborhood and a few hundred seeds, that is ~3k
+node-layer evaluations instead of ~2×25k.
 
 Construction walks backwards from the seeds: with level sets
 ``S_L = seeds`` and ``S_{l-1} = S_l ∪ sampled-neighbors(S_l)``, the level-
 ``l`` computation aggregates ``S_l``-rows from ``S_{l-1}``-columns through
 the induced bipartite slice ``A[S_l][:, S_{l-1}]``. Induced slicing keeps
-every graph edge between the included node sets (the same estimator family
-as the monolithic block); row-normalized adjacencies are re-normalized
-over the included columns so messages stay means. With ``fanout=None`` the
-level sets cover every reachable neighbor, each re-normalized row equals
-the full-graph row, and the seed outputs are *bit-exact* full-graph values
-— the property the layered tests pin down.
+every graph edge between the included node sets; row-normalized
+adjacencies are re-normalized over the included columns so messages stay
+means. With ``fanout=None`` the level sets cover every reachable neighbor,
+each re-normalized row equals the full-graph row, and the seed outputs are
+*bit-exact* full-graph values — the property the layered tests pin down.
 
 Per-hop fanout schedules compose naturally: ``fanout=[10, 5]`` caps the
 first expansion away from the seeds at 10 neighbors per (node, behavior)
@@ -85,6 +82,24 @@ class LayeredBlock:
     level-``l+1`` rows (and ``item_hops[l]`` the mirror image), so a model
     runs layer ``l+1`` as ``layer(user_hops[l].propagate(h_item))`` and
     each level's tensors shrink toward the seeds.
+
+    >>> import numpy as np
+    >>> from repro.data import taobao_like
+    >>> from repro.graph import PropagationEngine
+    >>> graph = taobao_like(num_users=20, num_items=30, seed=0).graph()
+    >>> engine = PropagationEngine(graph, normalization="row")
+    >>> block = engine.layered_subgraph(np.array([0, 1]), np.array([2, 3]),
+    ...                                 hops=2, fanout=None)
+    >>> block.num_layers, block.num_behaviors
+    (2, 4)
+    >>> block.user_levels[-1].tolist()           # the top level is the seeds
+    [0, 1]
+    >>> block.localize_users(2, np.array([1])).tolist()
+    [1]
+    >>> h_item = np.ones((block.item_levels[0].size, 8))
+    >>> block.user_hops[0].propagate(h_item).shape == (
+    ...     block.user_levels[1].size, 4, 8)
+    True
     """
 
     def __init__(self, user_levels: list[np.ndarray],
@@ -215,7 +230,7 @@ def sample_layered_square(matrix: sp.csr_matrix, seed_nodes: np.ndarray,
                           hops: int, fanout,
                           rng: np.random.Generator,
                           dtype) -> LayeredNodeBlocks:
-    """Layered counterpart of ``sample_square_block`` (single-graph mode)."""
+    """Build :class:`LayeredNodeBlocks` over one square adjacency (NGCF)."""
     schedule = resolve_fanout(fanout, hops)
     levels = [np.unique(np.asarray(seed_nodes, dtype=np.int64))]
     for hop_fanout in schedule:

@@ -1,38 +1,29 @@
-"""Sampled sub-adjacency blocks for mini-batch graph training.
+"""Neighbor-sampling primitives for mini-batch graph training.
 
 GNMR's Algorithm 1 trains on mini-batches of seed users, yet full-graph
-propagation pays ``A @ H`` over every node each step. This module holds the
-PinSage/GraphSAGE-style alternative applied to our stacked-CSR substrate:
-fanout-capped L-hop neighbor sampling around the batch seeds, followed by
-extraction of the induced sub-adjacency blocks with old↔new index maps.
-Per-step propagation cost then scales with ``batch × fanout^L`` instead of
-the graph size.
+propagation pays ``A @ H`` over every node each step. The sampled training
+path instead expands the batch seeds L hops with a per-(node, behavior)
+fanout cap and propagates over the induced sub-adjacencies only, so the
+per-step cost scales with ``batch × fanout^L`` instead of the graph size.
 
-Two block types mirror the two :class:`~repro.graph.engine.PropagationEngine`
-modes:
-
-* :class:`SubgraphBlock` — multi-behavior (GNMR): per-behavior user-side and
-  item-side sub-adjacencies, vstacked into the same fused ``(K·u) × i``
-  stacked-CSR layout the engine uses, so the sampled forward is the same
-  one-SpMM-per-side code path at subgraph scale.
-* :class:`SingleSubgraph` — single-graph (NGCF): one square block over the
-  sampled joint (users+items) node set.
+This module holds the pieces that expansion is built from: fanout-spec
+validation and parsing (scalar cap, ``None`` for no cap, or a per-hop
+schedule), vectorized per-row neighbor sampling, induced-slice extraction
+with row re-normalization, and the global→local index map. The per-hop
+block types built on them live in :mod:`repro.graph.layered`.
 
 Row-normalized ("mean") adjacencies are re-normalized over the *sampled*
 neighborhood, so each message is the mean of the neighbors actually
 included — the unbiased-as-fanout-grows estimator — and a fanout covering
-every neighbor reproduces the full-graph messages for interior nodes
-exactly. Other normalizations keep their original edge values (a subset
-sum; NGCF's self-loops keep the identity component intact).
+every neighbor reproduces the full-graph messages exactly. Other
+normalizations keep their original edge values (a subset sum; NGCF's
+self-loops keep the identity component intact).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.tensor.sparse import SparseAdjacency
-from repro.tensor.tensor import Tensor
 
 
 def _check_fanout_entry(value, position: str) -> None:
@@ -185,9 +176,6 @@ class _IndexMap:
     def __init__(self, nodes: np.ndarray):
         self.nodes = nodes  # sorted unique int64
 
-    def __len__(self) -> int:
-        return int(self.nodes.size)
-
     def localize(self, ids: np.ndarray, kind: str) -> np.ndarray:
         """Map global ids to positions in the block (raises if absent)."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -197,168 +185,3 @@ class _IndexMap:
             missing = np.unique(ids[~ok])[:5]
             raise KeyError(f"{kind} ids not in subgraph: {missing.tolist()}")
         return pos
-
-
-class SubgraphBlock:
-    """A sampled multi-behavior block: stacked sub-CSR + index maps.
-
-    ``users`` / ``items`` are the sorted global ids included in the block;
-    positions in those arrays are the block-local indices. The user/item
-    stacks use the engine's fused layout — behavior ``k`` occupies rows
-    ``[k·u, (k+1)·u)`` of the ``(K·u) × i`` user stack — so
-    :meth:`propagate_user` / :meth:`propagate_item` are drop-in sampled
-    versions of the engine methods.
-
-    >>> import numpy as np
-    >>> from repro.data import taobao_like
-    >>> from repro.graph import PropagationEngine
-    >>> graph = taobao_like(num_users=20, num_items=30, seed=0).graph()
-    >>> engine = PropagationEngine(graph, normalization="row")
-    >>> block = engine.subgraph(np.array([0, 1]), np.array([2, 3]),
-    ...                         hops=1, fanout=None)
-    >>> block.num_behaviors
-    4
-    >>> bool(np.isin([0, 1], block.users).all())   # seeds always included
-    True
-    >>> block.localize_users(np.array([0, 1])).tolist()
-    [0, 1]
-    >>> h_item = np.ones((block.num_items, 8))
-    >>> block.propagate_user(h_item).shape == (block.num_users, 4, 8)
-    True
-    """
-
-    def __init__(self, users: np.ndarray, items: np.ndarray,
-                 user_stack: SparseAdjacency, item_stack: SparseAdjacency,
-                 num_behaviors: int):
-        self._user_map = _IndexMap(users)
-        self._item_map = _IndexMap(items)
-        self.user_stack = user_stack
-        self.item_stack = item_stack
-        self.num_behaviors = int(num_behaviors)
-
-    # ------------------------------------------------------------------
-    @property
-    def users(self) -> np.ndarray:
-        """Global user ids in the block (sorted; position = local index)."""
-        return self._user_map.nodes
-
-    @property
-    def items(self) -> np.ndarray:
-        return self._item_map.nodes
-
-    @property
-    def num_users(self) -> int:
-        return len(self._user_map)
-
-    @property
-    def num_items(self) -> int:
-        return len(self._item_map)
-
-    def localize_users(self, ids: np.ndarray) -> np.ndarray:
-        return self._user_map.localize(ids, "user")
-
-    def localize_items(self, ids: np.ndarray) -> np.ndarray:
-        return self._item_map.localize(ids, "item")
-
-    # ------------------------------------------------------------------
-    def _fused(self, stack: SparseAdjacency, num_targets: int,
-               source: Tensor) -> Tensor:
-        out = stack.matmul(source)                         # (K·n, d)
-        return out.reshape(self.num_behaviors, num_targets,
-                           source.shape[-1]).transpose(1, 0, 2)
-
-    def propagate_user(self, h_item: Tensor) -> Tensor:
-        """Aggregate block item embeddings to block users: ``(u, K, d)``."""
-        return self._fused(self.user_stack, self.num_users, h_item)
-
-    def propagate_item(self, h_user: Tensor) -> Tensor:
-        """Aggregate block user embeddings to block items: ``(i, K, d)``."""
-        return self._fused(self.item_stack, self.num_items, h_user)
-
-
-class SingleSubgraph:
-    """A sampled square block of a single-graph engine (NGCF mode)."""
-
-    def __init__(self, nodes: np.ndarray, adjacency: SparseAdjacency):
-        self._map = _IndexMap(nodes)
-        self.adjacency = adjacency
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._map.nodes
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._map)
-
-    def localize(self, ids: np.ndarray) -> np.ndarray:
-        return self._map.localize(ids, "node")
-
-    def propagate(self, h: Tensor) -> Tensor:
-        """Sampled single-graph propagation ``A_sub @ H``."""
-        return self.adjacency.matmul(h)
-
-
-def sample_bipartite_block(user_matrices: list[sp.csr_matrix],
-                           item_matrices: list[sp.csr_matrix],
-                           seed_users: np.ndarray, seed_items: np.ndarray,
-                           hops: int, fanout,
-                           rng: np.random.Generator,
-                           dtype,
-                           renormalize: bool) -> SubgraphBlock:
-    """L-hop fanout-capped expansion + induced block extraction.
-
-    Each hop expands the user frontier to sampled item neighbors (through
-    every behavior's user-side adjacency) and the item frontier to sampled
-    user neighbors, PinSage-style; the final node sets induce the
-    sub-adjacency blocks. ``fanout`` may be a scalar cap or a per-hop
-    schedule (see :func:`resolve_fanout`); ``schedule[0]`` governs the
-    first expansion away from the seeds.
-    """
-    schedule = resolve_fanout(fanout, hops)
-    users = np.unique(np.asarray(seed_users, dtype=np.int64))
-    items = np.unique(np.asarray(seed_items, dtype=np.int64))
-    frontier_u, frontier_i = users, items
-    for hop_fanout in schedule:
-        new_items = _expand(user_matrices, frontier_u, hop_fanout, rng)
-        new_users = _expand(item_matrices, frontier_i, hop_fanout, rng)
-        frontier_i = np.setdiff1d(new_items, items, assume_unique=True)
-        frontier_u = np.setdiff1d(new_users, users, assume_unique=True)
-        if frontier_u.size == 0 and frontier_i.size == 0:
-            break
-        users = np.union1d(users, frontier_u)
-        items = np.union1d(items, frontier_i)
-
-    user_blocks = [_slice_block(m, users, items, renormalize)
-                   for m in user_matrices]
-    item_blocks = [_slice_block(m, items, users, renormalize)
-                   for m in item_matrices]
-    user_stack = SparseAdjacency(sp.vstack(user_blocks, format="csr"),
-                                 dtype=dtype, precompute_transpose=True)
-    item_stack = SparseAdjacency(sp.vstack(item_blocks, format="csr"),
-                                 dtype=dtype, precompute_transpose=True)
-    return SubgraphBlock(users, items, user_stack, item_stack,
-                         num_behaviors=len(user_matrices))
-
-
-def sample_square_block(matrix: sp.csr_matrix, seed_nodes: np.ndarray,
-                        hops: int, fanout,
-                        rng: np.random.Generator,
-                        dtype) -> SingleSubgraph:
-    """L-hop expansion over one square adjacency (users+items joint space).
-
-    ``fanout`` accepts the same scalar-or-schedule forms as
-    :func:`sample_bipartite_block`.
-    """
-    schedule = resolve_fanout(fanout, hops)
-    nodes = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    frontier = nodes
-    for hop_fanout in schedule:
-        neighbors = _expand([matrix], frontier, hop_fanout, rng)
-        frontier = np.setdiff1d(neighbors, nodes, assume_unique=True)
-        if frontier.size == 0:
-            break
-        nodes = np.union1d(nodes, frontier)
-    block = _slice_block(matrix, nodes, nodes, renormalize=False)
-    return SingleSubgraph(nodes, SparseAdjacency(block, dtype=dtype,
-                                                 precompute_transpose=True))

@@ -8,7 +8,8 @@ time the optimizer waits on. :class:`SampledBatchPipeline` moves it off
 the training thread: while the optimizer applies step ``t``, background
 workers extract the blocks for steps ``t+1, t+2, …`` from a pre-drawn
 batch stream, double-buffered so the training loop always finds the next
-block ready (hardware permitting).
+block ready (hardware permitting). With ``workers=0`` the same stream is
+extracted inline — the trainer's ``propagation="sampled"`` mode.
 
 Determinism contract
 --------------------

@@ -12,6 +12,14 @@ and continuing is bit-identical to never having stopped: ``train N epochs
 and for dist sync training, which is the oracle ``tests/train/test_resume``
 pins.
 
+States carry a ``state_version``. Version 2 states come from the current
+trainer. Version 1 states predate the single layered mini-batch path:
+their full-graph and async streams are unchanged and still load, but a
+version-1 ``propagation="sampled"`` state recorded a batch stream the
+trainer no longer draws, so :func:`load_training_state` refuses it rather
+than silently continuing on a different stream. Every reader — resume
+and :func:`repro.shard.reshard` alike — goes through that check.
+
 Files are written atomically (:func:`repro.utils.checkpoint.save_arrays`:
 temp file + ``os.replace``), so a crash — including SIGKILL — mid-save
 leaves either the previous complete state or the new one, never a torn
@@ -37,7 +45,7 @@ from repro.utils.checkpoint import load_arrays, save_arrays
 
 #: metadata ``format`` tag distinguishing training states from checkpoints
 TRAIN_STATE_FORMAT = "train-state"
-TRAIN_STATE_VERSION = 1
+TRAIN_STATE_VERSION = 2
 
 _MODEL_PREFIX = "model::"
 _OPTIM_PREFIX = "optim::"
@@ -132,6 +140,7 @@ def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
             f"{path} is not a training state (format="
             f"{meta.get('format')!r}); plain checkpoints hold no resume "
             "cursor — pass a file written by TrainConfig.save_state")
+    _check_state_version(path, meta)
     model_state: dict[str, np.ndarray] = {}
     optimizer_states: dict[str, dict] = {
         pname: dict(slots)
@@ -146,6 +155,20 @@ def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
             raise ValueError(f"unrecognized training-state array {key!r}")
     return TrainState(model_state=model_state,
                       optimizer_states=optimizer_states, meta=meta)
+
+
+def _check_state_version(path, meta: dict) -> None:
+    """Refuse states this trainer cannot continue bit-exactly."""
+    version = meta.get("state_version")
+    if version not in (1, TRAIN_STATE_VERSION):
+        raise ValueError(f"{path} has training-state version {version!r}; "
+                         f"this build reads versions 1 and "
+                         f"{TRAIN_STATE_VERSION}")
+    if version == 1 and meta.get("config", {}).get("propagation") == "sampled":
+        raise ValueError(
+            f"{path} is a version-1 propagation='sampled' state; its batch "
+            "stream came from a sampling path that no longer exists, so it "
+            "cannot be resumed bit-exactly — retrain from scratch")
 
 
 def check_resume_config(saved: dict, config) -> None:

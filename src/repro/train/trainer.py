@@ -4,24 +4,21 @@ Each epoch: sample seed users, draw S positives and S negatives per user,
 score both sides, apply the margin loss of Eq. (7) plus λ‖Θ‖², and update
 with Adam under an exponential learning-rate decay (rate 0.96).
 
-Three propagation modes (``TrainConfig.propagation``):
+Two propagation paths (``TrainConfig.propagation``):
 
 * ``"full"`` — every step propagates over the whole graph and regularizes
   every parameter; float64 runs are bit-reproducible with the seed goldens.
-* ``"sampled"`` — graph models score through
-  ``model.sampled_batch_scores`` (fanout-capped L-hop monolithic subgraph,
-  row-sparse embedding gradients) and regularize batch-locally via
-  ``model.l2_batch`` (λ‖Θ_batch‖²); the optimizer applies lazy per-row
-  updates, so the step cost scales with batch size and fanout instead of
-  graph size.
-* ``"async"`` — the pipelined path (:mod:`repro.train.pipeline`): batches
-  come from a pre-drawn deterministic stream, background workers extract
-  per-hop *layered* blocks (each layer computes only the rows the next one
-  needs — see :mod:`repro.graph.layered`) double-buffered ahead of the
-  optimizer, and the model scores through ``block_batch_scores``. Same
-  estimator family as ``"sampled"``, materially faster per step, and
-  bit-reproducible across any worker count (extraction rngs are split
-  per step, not per worker).
+* ``"sampled"`` and ``"async"`` — the mini-batch path
+  (:mod:`repro.train.pipeline`): batches come from a pre-drawn
+  deterministic stream, each batch's fanout-capped per-hop *layered* block
+  is extracted through ``model.extract_block`` (each layer computes only
+  the rows the next one needs — see :mod:`repro.graph.layered`), the model
+  scores through ``block_batch_scores`` with row-sparse embedding
+  gradients, and ``model.l2_batch`` regularizes batch-locally
+  (λ‖Θ_batch‖²). The step cost scales with batch size and fanout instead
+  of graph size. ``"sampled"`` extracts inline; ``"async"`` prefetches on
+  ``TrainConfig.workers`` background threads. Extraction rngs are split per
+  step, not per worker, so both are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -73,9 +70,9 @@ class TrainConfig:
     #: ``None`` keeps the ambient tensor default dtype
     dtype: str | None = None
     #: "full" propagates over the whole graph each step (bit-reproducible
-    #: reference); "sampled" runs the fanout-capped subgraph path with
-    #: row-sparse gradients; "async" adds the double-buffered prefetch
-    #: pipeline over per-hop layered blocks (see the module docstring)
+    #: reference); "sampled" runs the fanout-capped layered-block path with
+    #: row-sparse gradients, extracting inline; "async" is the same path
+    #: with ``workers`` prefetch threads (see the module docstring)
     propagation: str = "full"
     #: neighbors sampled per (node, behavior) per hop on the sampled/async
     #: paths: an ``int`` for every hop, ``None`` for no cap, or a per-hop
@@ -85,9 +82,10 @@ class TrainConfig:
     #: setting anything else here overrides the model for this run
     fanout: int | None | tuple[int | None, ...] | str = "model"
     #: background extraction threads for ``propagation="async"``; ``0``
-    #: runs the same pipeline inline. Extraction rngs are split per *step*,
-    #: so training traces are bit-reproducible across any worker count —
-    #: workers only changes how much extraction overlaps compute
+    #: runs the same pipeline inline (``"sampled"`` always does). Extraction
+    #: rngs are split per *step*, so training traces are bit-reproducible
+    #: across any worker count — workers only changes how much extraction
+    #: overlaps compute
     workers: int = 1
     #: per-worker block buffer depth for the async pipeline; 2 =
     #: double-buffering (one block consumed, one ready, one in flight)
@@ -123,8 +121,8 @@ class TrainConfig:
     #: synchronous barrier
     dist_staleness: int = 2
     #: gradient transport for dist modes: "shm" (shared-memory rings,
-    #: default), "pipe" (socket/pipe fallback), or "inline" (owners run
-    #: in-process through the full wire codec — tests/fallback)
+    #: default) or "inline" (owners run in-process through the full wire
+    #: codec — the no-subprocess reference)
     dist_transport: str = "shm"
     #: path of the training-state file (:mod:`repro.train.resume`) this run
     #: maintains: written atomically every ``save_every_steps`` steps and
@@ -136,8 +134,19 @@ class TrainConfig:
     save_every_steps: int | None = None
 
     def __post_init__(self):
+        if self.propagation not in ("full", "sampled", "async"):
+            raise ValueError(f"unknown propagation mode {self.propagation!r} "
+                             "(use 'full', 'sampled' or 'async')")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.fanout != "model":
             validate_fanout(self.fanout)
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
+        if self.prefetch_depth < 1:
+            raise ValueError("prefetch_depth must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r} "
                              "(use 'adam' or 'sgd')")
@@ -146,14 +155,13 @@ class TrainConfig:
         if self.dist not in ("off", "sync", "async"):
             raise ValueError(f"unknown dist mode {self.dist!r} "
                              "(use 'off', 'sync' or 'async')")
+        if self.dist_transport not in ("shm", "inline"):
+            raise ValueError(f"unknown dist transport {self.dist_transport!r} "
+                             "(use 'shm' or 'inline')")
         if self.dist != "off":
             if self.shards is None:
                 raise ValueError("dist training requires shards "
                                  "(the parameter-server partition)")
-            if self.dist_transport not in ("shm", "pipe", "inline"):
-                raise ValueError(
-                    f"unknown dist transport {self.dist_transport!r} "
-                    "(use 'shm', 'pipe' or 'inline')")
             if self.dist_workers is not None and self.dist_workers < 1:
                 raise ValueError("dist_workers must be >= 1 (or None)")
             if self.dist_staleness < 0:
@@ -198,13 +206,12 @@ class Trainer:
     * ``parameters()`` — trainable parameters,
     * ``batch_scores(users, pos_items, neg_items)`` — differentiable
       (pos_scores, neg_scores) tensors,
-    * ``sampled_batch_scores(...)`` / ``l2_batch(...)`` — the sampled-mode
-      pair (the :class:`~repro.models.base.Recommender` base provides
-      brute-force fallbacks),
-    * ``extract_block(...)`` / ``block_batch_scores(...)`` — the async-mode
-      pair: parameter-free block extraction the pipeline can prefetch on a
-      worker thread, and scoring over the prefetched block (base fallback:
-      ``None`` block + dense scoring, so every model trains in async mode),
+    * ``extract_block(...)`` / ``block_batch_scores(...)`` / ``l2_batch(...)``
+      — the sampled-mode trio: parameter-free block extraction the pipeline
+      can prefetch on a worker thread, scoring over that block, and the
+      batch-local regularizer (the :class:`~repro.models.base.Recommender`
+      base provides fallbacks — a ``None`` block, dense scoring and full
+      L2 — so every model trains on the sampled path),
     * ``train()`` / ``eval()`` — mode switching,
     * ``on_step_end()`` — optional cache-invalidation hook.
 
@@ -222,19 +229,6 @@ class Trainer:
     def __init__(self, model, train_data: InteractionDataset, config: TrainConfig,
                  eval_fn: Callable[[], float] | None = None,
                  step_hook: Callable[["Trainer", int], None] | None = None):
-        if config.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {config.loss!r}")
-        if config.propagation not in ("full", "sampled", "async"):
-            raise ValueError(f"unknown propagation mode {config.propagation!r} "
-                             "(use 'full', 'sampled' or 'async')")
-        if config.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if config.fanout != "model":
-            validate_fanout(config.fanout)
-        if config.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if config.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
         self.model = model
         self.data = train_data
         self.config = config
@@ -266,7 +260,11 @@ class Trainer:
             return self._run_loop(resume_from)
 
     def _make_pipeline(self, start_step: int = 0) -> SampledBatchPipeline:
-        """The async mode's prefetcher over the whole run's step budget."""
+        """The sampled path's batch/block stream over the run's step budget.
+
+        ``"sampled"`` extracts inline (``workers=0``); ``"async"`` prefetches
+        on ``config.workers`` threads. Both draw the same stream.
+        """
         cfg = self.config
 
         def draw(rng: np.random.Generator):
@@ -282,7 +280,9 @@ class Trainer:
 
         return SampledBatchPipeline(
             draw, extract, total_steps=cfg.epochs * cfg.steps_per_epoch,
-            seed=cfg.seed, workers=cfg.workers, depth=cfg.prefetch_depth,
+            seed=cfg.seed,
+            workers=cfg.workers if cfg.propagation == "async" else 0,
+            depth=cfg.prefetch_depth,
             start_step=start_step)
 
     def _run_loop(self, resume_from: str | None = None) -> HistoryRecorder:
@@ -301,7 +301,7 @@ class Trainer:
             self.model.load_state_dict(resume.model_state)
             self._rng.bit_generator.state = resume.meta["rng_state"]
             self.history.rows = [dict(row) for row in resume.meta["history"]]
-        if cfg.propagation == "async":
+        if cfg.propagation != "full":
             pipeline = self._make_pipeline(resume.global_step if resume else 0)
             try:
                 return self._run_epochs(pipeline, resume)
@@ -317,13 +317,8 @@ class Trainer:
                 batch.users, batch.pos_items, batch.neg_items)
             reg = l2_regularization(self.model.parameters(), cfg.l2_weight)
             return pos_scores, neg_scores, reg
-        if cfg.propagation == "async":
-            pos_scores, neg_scores = self.model.block_batch_scores(
-                batch.users, batch.pos_items, batch.neg_items, prepared.block)
-        else:
-            pos_scores, neg_scores = self.model.sampled_batch_scores(
-                batch.users, batch.pos_items, batch.neg_items,
-                rng=self._rng, **cfg.fanout_kwargs())
+        pos_scores, neg_scores = self.model.block_batch_scores(
+            batch.users, batch.pos_items, batch.neg_items, prepared.block)
         reg = self.model.l2_batch(
             batch.users, batch.pos_items, batch.neg_items, cfg.l2_weight)
         return pos_scores, neg_scores, reg

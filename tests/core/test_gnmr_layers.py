@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.tensor import Tensor, check_gradients
 from repro.tensor.sparse import SparseAdjacency
+from repro.tensor.tensor import stack
 
 
 @pytest.fixture
@@ -104,6 +105,11 @@ class TestGatedAggregation:
         check_gradients(lambda x: layer(x)[0], [x], atol=1e-4)
 
 
+def side_messages(layer, adjacencies, source):
+    """One side's fused messages from explicit per-behavior adjacencies."""
+    return layer(stack([a.matmul(source) for a in adjacencies], axis=1))
+
+
 class TestPropagationLayer:
     @pytest.fixture
     def adjacencies(self, rng):
@@ -112,9 +118,9 @@ class TestPropagationLayer:
         return [SparseAdjacency(sp.random(6, 9, density=0.4, random_state=s))
                 for s in (1, 2)]
 
-    def test_propagate_side_shape(self, rng, adjacencies):
+    def test_stacked_messages_shape(self, rng, adjacencies):
         layer = GNMRPropagationLayer(dim=8, memory_dims=4, num_heads=2, rng=rng)
-        out = layer.propagate_side(adjacencies, Tensor(rng.standard_normal((9, 8))))
+        out = side_messages(layer, adjacencies, Tensor(rng.standard_normal((9, 8))))
         assert out.shape == (6, 8)
 
     def test_ablations_remove_submodules(self, rng):
@@ -130,11 +136,11 @@ class TestPropagationLayer:
                                      use_behavior_embedding=False,
                                      use_message_attention=False,
                                      use_gated_aggregation=False)
-        out = layer.propagate_side(adjacencies, Tensor(rng.standard_normal((9, 8))))
+        out = side_messages(layer, adjacencies, Tensor(rng.standard_normal((9, 8))))
         assert out.shape == (6, 8)
 
     def test_end_to_end_gradient(self, rng, adjacencies):
         layer = GNMRPropagationLayer(4, 2, 2, rng)
         source = Tensor(rng.standard_normal((9, 4)), requires_grad=True)
-        check_gradients(lambda s: layer.propagate_side(adjacencies, s),
+        check_gradients(lambda s: side_messages(layer, adjacencies, s),
                         [source], atol=1e-4)

@@ -5,8 +5,9 @@ tolerance: the strict push-sequence check in ``ShardOwner`` and the
 bounds-checked codec must turn a dropped, duplicated, or truncated frame
 into an immediate ``TransportError`` / ``FrameError`` — never a silently
 wrong table. These tests drive real frames through a
-:class:`helpers.faults.FaultyChannel` over a real ``PipeChannel`` pair and
-pin the failure surface of each fault mode.
+:class:`helpers.faults.FaultyChannel` over a real ``ShmRing`` (producer and
+attached consumer in one process) and pin the failure surface of each
+fault mode.
 """
 
 import multiprocessing
@@ -17,7 +18,7 @@ from helpers.faults import FaultyChannel
 
 from repro.dist import ShardOwner, TransportError
 from repro.dist.codec import FrameError, decode, encode_push, frame
-from repro.dist.transport import PipeChannel
+from repro.dist.transport import ShmRing
 from repro.nn.module import Parameter
 from repro.tensor.rowsparse import RowSparseGrad
 
@@ -29,16 +30,17 @@ def push_body(step: int, rows: int = 4, dim: int = 3, seed: int = 0) -> bytes:
 
 
 @pytest.fixture
-def pipe_pair():
-    send, recv = PipeChannel.pair(multiprocessing)
+def ring_pair():
+    send = ShmRing.create(multiprocessing, capacity=1 << 16)
+    recv = ShmRing.attach(send.handle)
     yield send, recv
-    send.close()
     recv.close()
+    send.close()
 
 
 class TestFaultyChannel:
-    def test_dropped_frame_breaks_the_sequence(self, pipe_pair):
-        send, recv = pipe_pair
+    def test_dropped_frame_breaks_the_sequence(self, ring_pair):
+        send, recv = ring_pair
         faulty = FaultyChannel(send, drop=[1])
         for step in range(3):
             faulty.send(frame(push_body(step)))
@@ -49,8 +51,8 @@ class TestFaultyChannel:
         with pytest.raises(TransportError, match="out-of-sequence"):
             owner.apply_frame(recv.recv(timeout=5.0))
 
-    def test_duplicated_frame_is_rejected(self, pipe_pair):
-        send, recv = pipe_pair
+    def test_duplicated_frame_is_rejected(self, ring_pair):
+        send, recv = ring_pair
         faulty = FaultyChannel(send, duplicate=[0])
         faulty.send(frame(push_body(0)))
         assert faulty.faults["duplicated"] == 1
@@ -59,8 +61,8 @@ class TestFaultyChannel:
         with pytest.raises(TransportError, match="out-of-sequence"):
             owner.apply_frame(recv.recv(timeout=5.0))
 
-    def test_truncated_frame_fails_decode_not_silence(self, pipe_pair):
-        send, recv = pipe_pair
+    def test_truncated_frame_fails_decode_not_silence(self, ring_pair):
+        send, recv = ring_pair
         faulty = FaultyChannel(send, truncate=[0])
         faulty.send(frame(push_body(0)))
         assert faulty.faults["truncated"] == 1
@@ -71,8 +73,8 @@ class TestFaultyChannel:
         with pytest.raises(FrameError):
             owner.apply_frame(body)
 
-    def test_clean_frames_pass_through_bit_exact(self, pipe_pair):
-        send, recv = pipe_pair
+    def test_clean_frames_pass_through_bit_exact(self, ring_pair):
+        send, recv = ring_pair
         faulty = FaultyChannel(send)
         body = push_body(7)
         faulty.send(frame(body))
@@ -83,8 +85,8 @@ class TestFaultyChannel:
         assert faulty.faults == {"dropped": 0, "truncated": 0,
                                  "duplicated": 0}
 
-    def test_fault_indices_count_all_sends(self, pipe_pair):
-        send, recv = pipe_pair
+    def test_fault_indices_count_all_sends(self, ring_pair):
+        send, recv = ring_pair
         faulty = FaultyChannel(send, drop=[0, 2])
         for step in range(4):
             faulty.send(frame(push_body(step)))

@@ -3,7 +3,7 @@
 ``ShardOwner`` is deliberately process-free so the decode→apply path the
 worker entrypoint runs can be exercised (and coverage-traced) right here;
 a couple of small multi-process tests then prove the same path over real
-shm rings, pipes, and the ``spawn`` start method.
+shm rings and the ``spawn`` start method.
 """
 
 import copy
@@ -171,7 +171,7 @@ class TestInlineBridge:
 class TestProcessBridge:
     """Small but real: subprocess owners over each transport."""
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_sync_parity_with_local_optimizer(self, transport):
         rng = np.random.default_rng(10)
         params = make_params(rng, [(8, 4), (6, 4)])

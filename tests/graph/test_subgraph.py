@@ -1,4 +1,4 @@
-"""Sampled-subgraph extraction: index maps, fanout caps, block propagation."""
+"""Neighbor sampling and the induced slices of sampled per-hop blocks."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.data import taobao_like
 from repro.graph import PropagationEngine
 from repro.graph.subgraph import sample_neighbors
-from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -46,98 +45,57 @@ class TestSampleNeighbors:
         assert set(sampled.tolist()) <= row
 
 
-class TestSubgraphBlock:
-    def test_contains_seeds_and_maps_round_trip(self, engine):
-        seeds_u = np.array([0, 5, 17])
-        seeds_i = np.array([2, 9])
-        block = engine.subgraph(seeds_u, seeds_i, hops=2, fanout=3,
-                                rng=np.random.default_rng(0))
-        local_u = block.localize_users(seeds_u)
-        local_i = block.localize_items(seeds_i)
-        np.testing.assert_array_equal(block.users[local_u], seeds_u)
-        np.testing.assert_array_equal(block.items[local_i], seeds_i)
+class TestLayeredSlices:
+    """Slice-level guarantees of the sampled per-hop blocks."""
 
     def test_localize_rejects_absent_ids(self, engine):
-        block = engine.subgraph(np.array([0]), np.array([0]), hops=0,
-                                fanout=1, rng=np.random.default_rng(0))
-        missing = np.setdiff1d(np.arange(engine.num_users), block.users)
-        if missing.size:
-            with pytest.raises(KeyError):
-                block.localize_users(missing[:1])
-
-    def test_edges_are_subset_of_full_graph(self, engine):
-        block = engine.subgraph(np.arange(6), np.arange(4), hops=2, fanout=4,
-                                rng=np.random.default_rng(2))
-        for k in range(block.num_behaviors):
-            full = engine.user_adjacencies[k].matrix
-            sub = block.user_stack.matrix[k * block.num_users:(k + 1) * block.num_users]
-            coo = sub.tocoo()
-            for r, c in zip(coo.row, coo.col):
-                assert full[block.users[r], block.items[c]] != 0.0
-
-    def test_deterministic_under_seeded_rng(self, engine):
-        a = engine.subgraph(np.arange(5), np.arange(5), hops=2, fanout=3,
-                            rng=np.random.default_rng(7))
-        b = engine.subgraph(np.arange(5), np.arange(5), hops=2, fanout=3,
-                            rng=np.random.default_rng(7))
-        np.testing.assert_array_equal(a.users, b.users)
-        np.testing.assert_array_equal(a.items, b.items)
-        assert (a.user_stack.matrix != b.user_stack.matrix).nnz == 0
+        block = engine.layered_subgraph(np.array([0]), np.array([0]), hops=1,
+                                        fanout=1, rng=np.random.default_rng(0))
+        missing = np.setdiff1d(np.arange(engine.num_users),
+                               block.user_levels[0])
+        assert missing.size
+        with pytest.raises(KeyError, match="not in subgraph"):
+            block.localize_users(0, missing[:1])
 
     def test_row_renormalization_gives_means(self, engine):
-        block = engine.subgraph(np.arange(10), np.arange(10), hops=1, fanout=3,
-                                rng=np.random.default_rng(0))
-        sums = np.asarray(block.user_stack.matrix.sum(axis=1)).ravel()
-        nonzero = sums[sums > 0]
-        np.testing.assert_allclose(nonzero, 1.0)
+        block = engine.layered_subgraph(np.arange(10), np.arange(10), hops=1,
+                                        fanout=3, rng=np.random.default_rng(0))
+        for hop in block.user_hops + block.item_hops:
+            sums = np.asarray(hop.stack.matrix.sum(axis=1)).ravel()
+            np.testing.assert_allclose(sums[sums > 0], 1.0)
 
-    def test_full_fanout_matches_engine_messages_on_interior(self, engine):
-        # with every node included and no cap, block propagation must equal
-        # full-graph propagation exactly (the renormalization is identity)
-        rng = np.random.default_rng(0)
-        block = engine.subgraph(np.arange(engine.num_users),
-                                np.arange(engine.num_items),
-                                hops=1, fanout=None, rng=rng)
-        assert block.num_users == engine.num_users
-        h_item = Tensor(rng.standard_normal((engine.num_items, 8)))
-        full = engine.propagate_user(h_item)
-        sampled = block.propagate_user(h_item)
-        np.testing.assert_allclose(sampled.data, full.data, atol=1e-12)
+    def test_edges_are_subset_of_full_graph(self, engine):
+        block = engine.layered_subgraph(np.arange(6), np.arange(4), hops=2,
+                                        fanout=4, rng=np.random.default_rng(2))
+        for level, hop in enumerate(block.user_hops):
+            rows = block.user_levels[level + 1]
+            cols = block.item_levels[level]
+            coo = hop.stack.matrix.tocoo()
+            for r, c in zip(coo.row, coo.col):
+                k, local = divmod(int(r), rows.size)
+                full = engine.user_adjacencies[k].matrix
+                assert full[rows[local], cols[c]] != 0.0
 
-    def test_propagation_shapes_and_gradients(self, engine):
-        block = engine.subgraph(np.arange(4), np.arange(4), hops=1, fanout=2,
-                                rng=np.random.default_rng(0))
-        h_user = Tensor(np.random.default_rng(1).standard_normal(
-            (block.num_users, 6)), requires_grad=True)
-        out = block.propagate_item(h_user)
-        assert out.shape == (block.num_items, block.num_behaviors, 6)
-        out.sum().backward()
-        assert h_user.grad.shape == h_user.shape
+    def test_self_loops_survive(self, single_engine):
+        blocks = single_engine.layered_subgraph_nodes(
+            np.array([3]), hops=1, fanout=2, rng=np.random.default_rng(0))
+        sliced = blocks.hops[0].matrix
+        # the seed's row keeps its identity message among the sampled columns
+        seed_col = blocks.localize(0, np.array([3]))[0]
+        assert sliced[0, seed_col] > 0
+
+
+class TestSubgraphBlock:
+    """Mode guard of the multi-behavior engine's sampled-block API."""
 
     def test_multi_behavior_engine_rejects_single_api(self, engine):
         with pytest.raises(RuntimeError):
-            engine.subgraph_nodes(np.array([0]))
+            engine.layered_subgraph_nodes(np.array([0]))
 
 
 class TestSingleSubgraph:
-    def test_nodes_contain_seeds(self, single_engine):
-        seeds = np.array([0, 1, 50])
-        sub = single_engine.subgraph_nodes(seeds, hops=2, fanout=3,
-                                           rng=np.random.default_rng(0))
-        assert np.isin(seeds, sub.nodes).all()
-
-    def test_self_loops_survive(self, single_engine):
-        sub = single_engine.subgraph_nodes(np.array([3]), hops=1, fanout=2,
-                                           rng=np.random.default_rng(0))
-        diag = sub.adjacency.matrix.diagonal()
-        assert np.all(diag > 0)
-
-    def test_propagate_shape(self, single_engine):
-        sub = single_engine.subgraph_nodes(np.array([0, 4]), hops=2, fanout=3,
-                                           rng=np.random.default_rng(1))
-        h = Tensor(np.ones((sub.num_nodes, 5)))
-        assert sub.propagate(h).shape == (sub.num_nodes, 5)
+    """Mode guard of the single-graph engine's sampled-block API."""
 
     def test_single_engine_rejects_bipartite_api(self, single_engine):
         with pytest.raises(RuntimeError):
-            single_engine.subgraph(np.array([0]), np.array([0]))
+            single_engine.layered_subgraph(np.array([0]), np.array([0]))

@@ -2,9 +2,9 @@
 
 Two deliberately tiny tools:
 
-* :class:`FaultyChannel` wraps any transport channel (``ShmRing``,
-  ``PipeChannel``, or a plain in-process queue shim) and injects the
-  classic network failure modes at chosen frame indices — *drop* (the
+* :class:`FaultyChannel` wraps any transport channel (``ShmRing`` or a
+  plain in-process queue shim) and injects the classic network failure
+  modes at chosen frame indices — *drop* (the
   frame never arrives), *truncate* (the frame arrives short, with intact
   transport framing so the corruption surfaces at the codec layer, not as
   a transport error), and *duplicate* (the frame arrives twice). The

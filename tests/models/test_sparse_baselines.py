@@ -30,14 +30,14 @@ class TestSparseBaselines:
         users, pos, neg = batch
         model = cls(20, 30, seed=0)
         dense_pos, dense_neg = model.batch_scores(users, pos, neg)
-        sparse_pos, sparse_neg = model.sampled_batch_scores(users, pos, neg)
+        sparse_pos, sparse_neg = model.block_batch_scores(users, pos, neg, None)
         np.testing.assert_allclose(sparse_pos.data, dense_pos.data)
         np.testing.assert_allclose(sparse_neg.data, dense_neg.data)
 
     def test_tables_get_row_sparse_grads(self, cls, batch):
         users, pos, neg = batch
         model = cls(20, 30, seed=0)
-        sparse_pos, sparse_neg = model.sampled_batch_scores(users, pos, neg)
+        sparse_pos, sparse_neg = model.block_batch_scores(users, pos, neg, None)
         loss = (sparse_pos - sparse_neg).sum()
         loss = loss + model.l2_batch(users, pos, neg, 1e-3)
         loss.backward()
@@ -54,7 +54,7 @@ class TestSparseBaselines:
         def grads(use_sampled):
             model = cls(20, 30, seed=0)
             if use_sampled:
-                p, n = model.sampled_batch_scores(users, pos, neg)
+                p, n = model.block_batch_scores(users, pos, neg, None)
             else:
                 p, n = model.batch_scores(users, pos, neg)
             ((p - n) * (p - n)).sum().backward()

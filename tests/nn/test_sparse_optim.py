@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Adagrad,
     Adam,
-    Momentum,
     Parameter,
     SGD,
     clip_grad_norm,
@@ -54,20 +52,21 @@ class TestSGDParity:
 
 
 class TestLazyRowUpdates:
-    def test_momentum_untouched_rows_keep_velocity(self):
+    def test_adam_untouched_rows_keep_moments(self):
         p, _, sparse, _ = _pair()
-        opt = Momentum([p], lr=0.1, momentum=0.9)
+        opt = Adam([p], lr=0.1)
         p.grad = sparse
         opt.step()
         untouched = np.setdiff1d(np.arange(8), sparse.indices)
-        assert np.all(opt._velocity[0][untouched] == 0.0)
-        assert np.any(opt._velocity[0][sparse.indices] != 0.0)
+        for moment in (opt._m[0], opt._v[0]):
+            assert np.all(moment[untouched] == 0.0)
+            assert np.any(moment[sparse.indices] != 0.0)
 
-    def test_adagrad_only_touched_rows_move(self):
+    def test_adam_only_touched_rows_move(self):
         p, _, sparse, _ = _pair()
         before = p.data.copy()
         p.grad = sparse
-        Adagrad([p], lr=0.1).step()
+        Adam([p], lr=0.1).step()
         untouched = np.setdiff1d(np.arange(8), sparse.indices)
         np.testing.assert_array_equal(p.data[untouched], before[untouched])
         assert np.all(p.data[sparse.indices] != before[sparse.indices])

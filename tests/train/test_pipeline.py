@@ -3,6 +3,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import GNMR, GNMRConfig
@@ -236,12 +237,43 @@ class TestAsyncTraining:
             time.sleep(0.01)
         assert threading.active_count() <= before
 
-    def test_trainer_validates_pipeline_knobs(self, tiny_split):
-        model = BiasMF(tiny_split.train.num_users,
-                       tiny_split.train.num_items, seed=0)
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(workers=-1))
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(prefetch_depth=0))
-        with pytest.raises(ValueError):
-            Trainer(model, tiny_split.train, TrainConfig(propagation="warp"))
+    def test_trainer_validates_pipeline_knobs(self):
+        # every knob fails when the config is built, before any Trainer
+        for bad in ({"workers": -1}, {"prefetch_depth": 0},
+                    {"propagation": "warp"}, {"loss": "mse"},
+                    {"eval_every": 0}, {"dist_transport": "pipe"}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+
+
+class TestSampledIsInlineAsync:
+    """``"sampled"`` is the layered pipeline run inline: the same batches,
+    blocks and updates as ``"async"`` at any worker count, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["GNMR", "NGCF", "BiasMF"])
+    def test_sampled_matches_async_bit_exactly(self, tiny_split, name):
+        def make():
+            train = tiny_split.train
+            if name == "GNMR":
+                return GNMR(train, GNMRConfig(pretrain=False, seed=0,
+                                              num_layers=2, dtype="float64"))
+            if name == "NGCF":
+                return NGCF(train, seed=0, num_layers=2, dtype="float64")
+            return BiasMF(train.num_users, train.num_items, seed=0)
+
+        def trace(propagation, workers):
+            model = make()
+            config = TrainConfig(epochs=2, steps_per_epoch=3, batch_users=8,
+                                 per_user=2, propagation=propagation,
+                                 workers=workers, fanout=(6, 4), seed=0,
+                                 dtype="float64")
+            losses = Trainer(model, tiny_split.train, config).run().series("loss")
+            return losses, model.state_dict()
+
+        golden_losses, golden_state = trace("sampled", workers=1)
+        for workers in (0, 2):
+            losses, state = trace("async", workers)
+            assert losses == golden_losses, f"async workers={workers}"
+            assert sorted(state) == sorted(golden_state)
+            for key, value in golden_state.items():
+                np.testing.assert_array_equal(state[key], value, err_msg=key)

@@ -19,6 +19,7 @@ from repro.data import leave_one_out_split, taobao_like
 from repro.models import BiasMF
 from repro.train.resume import load_training_state
 from repro.train.trainer import TrainConfig
+from repro.utils.checkpoint import load_arrays, save_arrays
 
 SPLIT = leave_one_out_split(taobao_like(num_users=40, num_items=90, seed=0))
 
@@ -145,6 +146,72 @@ class TestCrashResume:
         resumed = gnmr(shards=2)
         resumed.fit(SPLIT.train, config(3, **overrides), resume_from=state)
         assert_states_equal(full, resumed)
+
+
+def rewrite_meta(src, dst, **changes):
+    """Copy a training state with edited metadata (``None`` deletes a key),
+    standing in for a file an older trainer wrote."""
+    arrays, meta = load_arrays(src)
+    for key, value in changes.items():
+        if value is None:
+            meta.pop(key, None)
+        else:
+            meta[key] = value
+    save_arrays(dst, arrays, meta)
+    return str(dst)
+
+
+class TestStateVersion:
+    """``state_version`` is checked on every load, reshard included."""
+
+    @pytest.mark.parametrize("propagation", ["full", "async"])
+    def test_v1_full_and_async_states_still_resume(self, tmp_path,
+                                                    propagation):
+        # these streams did not change between versions 1 and 2, so an
+        # old state continues bit-exactly
+        state = str(tmp_path / "state.npz")
+        full = bias_mf()
+        h_full = full.fit(SPLIT.train, config(5, propagation=propagation))
+        bias_mf().fit(SPLIT.train, config(3, propagation=propagation,
+                                          save_state=state))
+        old = rewrite_meta(state, tmp_path / "v1.npz", state_version=1)
+        assert load_training_state(old).meta["state_version"] == 1
+        resumed = bias_mf()
+        h_resumed = resumed.fit(SPLIT.train,
+                                config(5, propagation=propagation),
+                                resume_from=old)
+        assert_states_equal(full, resumed, h_full, h_resumed)
+
+    def test_v1_sampled_state_is_refused(self, tmp_path):
+        from repro.shard import reshard_file
+
+        state = str(tmp_path / "state.npz")
+        gnmr(shards=2).fit(SPLIT.train, config(1, propagation="sampled",
+                                               fanout=5, shards=2,
+                                               save_state=state))
+        old = rewrite_meta(state, tmp_path / "v1.npz", state_version=1)
+        with pytest.raises(ValueError, match="version-1 propagation='sampled'"):
+            load_training_state(old)
+        with pytest.raises(ValueError, match="version-1 propagation='sampled'"):
+            gnmr(shards=2).fit(SPLIT.train,
+                               config(2, propagation="sampled", fanout=5,
+                                      shards=2),
+                               resume_from=old)
+        # reshard rewrites state_version, so it must refuse too — otherwise
+        # it would launder the old stream into a current-version state
+        out = tmp_path / "resharded.npz"
+        with pytest.raises(ValueError, match="version-1 propagation='sampled'"):
+            reshard_file(old, out, num_shards=3)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [None, 0, 3, "2"])
+    def test_unknown_or_missing_version_is_refused(self, tmp_path, version):
+        state = str(tmp_path / "state.npz")
+        bias_mf().fit(SPLIT.train, config(1, save_state=state))
+        assert load_training_state(state).meta["state_version"] == 2
+        bad = rewrite_meta(state, tmp_path / "bad.npz", state_version=version)
+        with pytest.raises(ValueError, match="training-state version"):
+            load_training_state(bad)
 
 
 class TestFinalEpochEval:

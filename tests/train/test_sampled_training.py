@@ -111,8 +111,9 @@ class TestSampledGNMR:
     def test_row_sparse_grads_reach_tables(self, tiny_split):
         model = GNMR(tiny_split.train, GNMRConfig(pretrain=False, seed=0))
         users = np.arange(6); pos = np.arange(6); neg = np.arange(6, 12)
-        pos_s, neg_s = model.sampled_batch_scores(
-            users, pos, neg, fanout=3, rng=np.random.default_rng(0))
+        block = model.extract_block(users, pos, neg, fanout=3,
+                                    rng=np.random.default_rng(0))
+        pos_s, neg_s = model.block_batch_scores(users, pos, neg, block)
         loss = (1.0 - pos_s + neg_s).relu().sum()
         loss = loss + model.l2_batch(users, pos, neg, 1e-4)
         loss.backward()
@@ -123,10 +124,8 @@ class TestSampledGNMR:
         assert isinstance(layer_param.grad, np.ndarray)
 
     def test_sampled_scores_match_full_at_unlimited_fanout(self, tiny_split):
-        # fanout=None with enough hops covers the full reachable graph; the
-        # sampled forward then reproduces full-graph scores up to the
-        # boundary effect of unreached nodes — on this tiny graph the
-        # 2-layer expansion reaches everything, so scores agree closely
+        # fanout=None keeps every neighbor at every hop, so each seed's
+        # sampled forward reproduces its full-graph score
         model = GNMR(tiny_split.train, GNMRConfig(pretrain=False, seed=0,
                                                   dropout=0.0))
         model.eval()
@@ -134,8 +133,9 @@ class TestSampledGNMR:
         pos = np.arange(10)
         neg = np.arange(10, 20)
         full_pos, full_neg = model.batch_scores(users, pos, neg)
-        s_pos, s_neg = model.sampled_batch_scores(
-            users, pos, neg, fanout=None, rng=np.random.default_rng(0))
+        block = model.extract_block(users, pos, neg, fanout=None,
+                                    rng=np.random.default_rng(0))
+        s_pos, s_neg = model.block_batch_scores(users, pos, neg, block)
         np.testing.assert_allclose(s_pos.data, full_pos.data, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(s_neg.data, full_neg.data, rtol=1e-6, atol=1e-8)
 
