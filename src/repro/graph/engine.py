@@ -45,6 +45,7 @@ from repro.graph.layered import (
     sample_layered_bipartite,
     sample_layered_square,
 )
+from repro.graph.subgraph import check_seed_ids
 from repro.tensor.sparse import SparseAdjacency
 from repro.tensor.tensor import Tensor, resolve_dtype
 
@@ -269,9 +270,13 @@ class PropagationEngine:
         next layer needs, down to the seeds at the top. Row-normalized
         engines re-normalize the sampled rows so messages stay means; at
         ``fanout=None`` the seed outputs are bit-exact full-graph values.
+        A seed id outside ``[0, num_users)`` / ``[0, num_items)`` raises
+        ``ValueError``.
         """
         if self._user_stack is None:
             raise RuntimeError("single-graph engine: use layered_subgraph_nodes()")
+        seed_users = check_seed_ids(seed_users, self.num_users, "user")
+        seed_items = check_seed_ids(seed_items, self.num_items, "item")
         rng = rng or np.random.default_rng()
         return sample_layered_bipartite(
             [a.matrix for a in self.user_adjacencies],
@@ -291,10 +296,12 @@ class PropagationEngine:
         items for a bipartite Laplacian). ``fanout`` accepts a scalar or a
         per-hop schedule. Edge values keep their original normalization;
         self-loops survive slicing, so every sampled node retains its
-        identity message.
+        identity message. A seed id outside the joint space raises
+        ``ValueError``.
         """
         if self._single is None:
             raise RuntimeError("multi-behavior engine: use layered_subgraph()")
+        seed_nodes = check_seed_ids(seed_nodes, self._single.shape[0], "node")
         rng = rng or np.random.default_rng()
         return sample_layered_square(self._single.matrix, seed_nodes,
                                      hops, fanout, rng, dtype=self.dtype)

@@ -37,6 +37,25 @@ def _check_fanout_entry(value, position: str) -> None:
                          f"cap), got {value}")
 
 
+def check_seed_ids(ids, n: int, kind: str) -> np.ndarray:
+    """Seed ids as int64, refusing any outside ``[0, n)``.
+
+    A negative id would otherwise index from the end of the CSR arrays
+    and sample the wrong node's neighborhood.
+
+    >>> check_seed_ids([0, 4, -3, 9], 5, "item")
+    Traceback (most recent call last):
+        ...
+    ValueError: item ids out of range [0, 5): [-3, 9]
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise ValueError(f"{kind} ids out of range [0, {n}): "
+                         f"{np.unique(ids[bad])[:5].tolist()}")
+    return ids
+
+
 def validate_fanout(fanout) -> None:
     """Validate a fanout spec without knowing the hop count.
 
@@ -108,21 +127,52 @@ def parse_fanout(text: str) -> int | None | tuple[int | None, ...]:
     return tuple(resolved)
 
 
+#: an over-cap row of length L keeps the edges whose key is below
+#: ``_PREFILTER_SLACK * fanout / L``: about 3·fanout survivors. Fewer than
+#: fanout pass (the per-row fallback) in ~5% of over-cap rows at fanout 1,
+#: ~0.6% at fanout 3 and almost never at 10
+_PREFILTER_SLACK = 3.0
+
+
 def sample_neighbors(matrix: sp.csr_matrix, nodes: np.ndarray,
                      fanout: int | None,
                      rng: np.random.Generator) -> np.ndarray:
     """Up-to-``fanout`` neighbors of each node from one CSR adjacency.
 
-    Returns the (non-unique) concatenation of the sampled neighbor ids;
-    ``fanout=None`` keeps every neighbor. Sampling is per node — a hub's
-    neighborhood is capped, a sparse node keeps everything it has — and
-    fully vectorized: every candidate edge gets a random key and a stable
-    ``lexsort`` ranks edges within their row, so selecting ``rank < fanout``
-    draws without replacement across all rows in one pass (no per-node
-    Python loop on the training hot path).
+    Returns the (non-unique) concatenation of the sampled neighbor ids,
+    frontier row by row; ``fanout=None`` keeps every neighbor. Sampling is
+    per node — a hub's neighborhood is capped, a sparse node keeps
+    everything it has — and fully vectorized (no per-node Python loop on
+    the training hot path).
+
+    When any row is over the cap, every candidate edge draws one uniform
+    key (one ``rng.random(total)`` call) and each row keeps its
+    ``fanout`` smallest keys, in key order. Ranking every edge would sort
+    the whole frontier to keep a small part of it, so an exact pre-filter
+    runs first:
+
+    * rows at or under the cap keep every edge;
+    * an over-cap row of length ``L`` keeps only the edges whose key is
+      below ``3·fanout/L`` (about ``3·fanout`` of them);
+    * a row where fewer than ``fanout`` keys pass falls back to all of its
+      edges.
+
+    Only the survivors are ``lexsort``-ed by (row, key), keeping
+    ``rank < fanout``. The result equals a full rank of every edge, order
+    included: when at least ``fanout`` keys of a row lie below a
+    threshold, its ``fanout`` smallest keys (and any key tied with them)
+    lie below it too, and the stable sort keeps ties in edge order.
+
+    >>> import scipy.sparse as sp
+    >>> adjacency = sp.csr_matrix(np.array([[1, 1, 0, 0, 0, 0],
+    ...                                     [1, 1, 1, 1, 1, 1]]))
+    >>> rng = np.random.default_rng(0)
+    >>> sorted(sample_neighbors(adjacency, np.array([0]), 2, rng).tolist())
+    [0, 1]
+    >>> sample_neighbors(adjacency, np.array([1]), 2, rng).size
+    2
     """
-    if fanout is not None and fanout < 1:
-        raise ValueError("fanout must be >= 1 (or None for no cap)")
+    _check_fanout_entry(fanout, "value")
     indptr, indices = matrix.indptr, matrix.indices
     starts = indptr[nodes]
     lengths = indptr[nodes + 1] - starts
@@ -130,16 +180,32 @@ def sample_neighbors(matrix: sp.csr_matrix, nodes: np.ndarray,
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    # global CSR position of each candidate edge, frontier-row by row
-    pos = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
-    candidates = indices[pos]
     if fanout is None or int(lengths.max()) <= fanout:
-        return candidates
-    row_of_edge = np.repeat(np.arange(nodes.size), lengths)
+        # global CSR position of each candidate edge, frontier-row by row
+        pos = np.repeat(starts - offsets[:-1], lengths) + np.arange(total)
+        return indices[pos]
     keys = rng.random(total)
-    order = np.lexsort((keys, row_of_edge))  # stable: rows stay contiguous
-    rank = np.arange(total) - np.repeat(offsets[:-1], lengths)
-    return candidates[order][rank < fanout]
+    over = lengths > fanout
+    threshold = np.full(nodes.size, 2.0)  # keys lie in [0, 1): keep all
+    threshold[over] = _PREFILTER_SLACK * fanout / lengths[over]
+    keep = keys < np.repeat(threshold, lengths)
+
+    def survivors():
+        edge = np.flatnonzero(keep)  # position in the frontier's edge list
+        row = np.searchsorted(offsets, edge, side="right") - 1
+        return edge, row, np.bincount(row, minlength=nodes.size)
+
+    edge, row, kept = survivors()
+    short = over & (kept < fanout)
+    if short.any():  # too few keys passed: rank the whole row
+        keep |= np.repeat(short, lengths)
+        edge, row, kept = survivors()
+    order = np.lexsort((keys[edge], row))  # stable: rows stay contiguous
+    edge, row = edge[order], row[order]
+    rank = np.arange(edge.size) - np.repeat(np.cumsum(kept) - kept, kept)
+    take = rank < fanout
+    edge, row = edge[take], row[take]
+    return indices[starts[row] + edge - offsets[row]]
 
 
 def _expand(matrices: list[sp.csr_matrix], frontier: np.ndarray,

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.graph.engine import PropagationEngine
+from repro.graph.subgraph import check_seed_ids
 from repro.models.base import Recommender
 from repro.nn import init as init_schemes
 from repro.nn.layers import Linear
@@ -136,10 +137,11 @@ class NGCF(Recommender):
         joint index space; the engine expands them ``num_layers`` hops
         with a fanout cap. Parameter-free, so the pipeline may prefetch it.
         """
-        users = np.asarray(users, dtype=np.int64)
-        item_nodes = self.num_users + np.concatenate([
+        # checked per side: a negative item would land on a user node
+        users = check_seed_ids(users, self.num_users, "user")
+        item_nodes = self.num_users + check_seed_ids(np.concatenate([
             np.asarray(pos_items, dtype=np.int64),
-            np.asarray(neg_items, dtype=np.int64)])
+            np.asarray(neg_items, dtype=np.int64)]), self.num_items, "item")
         return self.engine.layered_subgraph_nodes(
             np.concatenate([users, item_nodes]),
             hops=self.num_layers, fanout=fanout, rng=rng)
@@ -220,7 +222,7 @@ class NGCF(Recommender):
         matching those users' rows in :meth:`serving_embeddings`
         recomputed from current parameters to within a float64 ulp.
         """
-        users = np.atleast_1d(np.asarray(users, dtype=np.int64))
+        users = check_seed_ids(np.atleast_1d(users), self.num_users, "user")
         block = self.engine.layered_subgraph_nodes(
             users, hops=self.num_layers, fanout=None)
         with no_grad():
