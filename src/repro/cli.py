@@ -219,9 +219,10 @@ def _rebuild_serving_model(args):
     """
     from repro.data import leave_one_out_split
     from repro.tensor import default_dtype
-    from repro.utils import load_checkpoint, peek_checkpoint
+    from repro.utils import load_arrays
 
-    meta = peek_checkpoint(args.checkpoint) if args.checkpoint else {}
+    # one verified read: the metadata picks the model, the arrays fill it
+    state, meta = load_arrays(args.checkpoint) if args.checkpoint else ({}, {})
     model_name = args.model or meta.get("model") or "GNMR"
     dataset_name = args.dataset or meta.get("dataset_arg") or "taobao"
     dtype = args.dtype or meta.get("dtype")
@@ -254,7 +255,7 @@ def _rebuild_serving_model(args):
                            gnmr_overrides=overrides or None,
                            shards=shards, shard_strategy=shard_strategy)
     if args.checkpoint:
-        load_checkpoint(model, args.checkpoint)
+        model.load_state_dict(state)
     else:
         model.fit(split.train, scale.train_config(
             **({"dtype": dtype} if dtype else {})))
@@ -341,7 +342,10 @@ def cmd_serve(args) -> int:
     line = json.dumps(ready)
     print(line, flush=True)
     if args.ready_file:
-        Path(args.ready_file).write_text(line + "\n")
+        # rename into place: a poller never sees a half-written file
+        partial = Path(f"{args.ready_file}.partial")
+        partial.write_text(line + "\n")
+        partial.replace(args.ready_file)
     # tests drive cmd_serve from a worker thread, where signal handlers
     # are unavailable — they stop it through an injected args.stop_event
     stop = getattr(args, "stop_event", None) or threading.Event()

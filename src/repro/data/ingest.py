@@ -26,9 +26,6 @@ stacked-CSR :class:`~repro.graph.MultiBehaviorGraph`) out-of-core:
 from __future__ import annotations
 
 import csv
-import io
-import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -42,13 +39,13 @@ from repro.data.loaders import (
     parse_rating,
     parse_timestamp,
 )
+from repro.utils.checkpoint import ArchiveFormatError, load_arrays, save_arrays
 
-#: artifact format version (bumped on any byte-layout change)
-ARTIFACT_FORMAT = "repro-dataset-npz-v1"
-
-#: fixed zip entry date — np.savez stamps wall-clock time into the zip
-#: members, which would break byte-identical re-ingest
-_EPOCH = (1980, 1, 1, 0, 0, 0)
+#: dataset schema tag (bumped on any change to the member or key layout)
+ARTIFACT_FORMAT = "repro-dataset-npz-v2"
+#: earlier tags this build still reads (v1: same schema, meta.json manifest)
+_READABLE_FORMATS = ("repro-dataset-npz-v1", ARTIFACT_FORMAT)
+_LABELS = ("users", "items", "timestamps")
 
 
 @dataclass
@@ -313,14 +310,9 @@ def ingest_csv(path: str | Path, name: str, target_behavior: str,
 
 def save_dataset_npz(dataset: InteractionDataset, path: str | Path,
                      has_timestamps: bool | None = None) -> Path:
-    """Persist a dataset as a deterministic ``.npz``-compatible archive.
-
-    Byte-identical for identical datasets: entries are stored uncompressed
-    in a fixed order with a fixed timestamp (``np.savez`` stamps wall-clock
-    time, which would make every re-ingest differ). Readable with
-    :func:`load_dataset_npz` (or plain ``np.load`` for the arrays).
-    """
-    path = Path(path)
+    """Persist a dataset as an atomic, deterministic, hashed archive
+    (:func:`save_arrays`): three arrays per behavior, the header in the
+    manifest. Readable with :func:`load_dataset_npz` (or ``np.load``)."""
     if has_timestamps is None:
         has_timestamps = any(
             bool(np.any(dataset.arrays(b)[2] != 0.0))
@@ -334,43 +326,31 @@ def save_dataset_npz(dataset: InteractionDataset, path: str | Path,
         "num_items": dataset.num_items,
         "has_timestamps": bool(has_timestamps),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        _write_member(archive, "meta.json",
-                      json.dumps(meta, indent=2, sort_keys=True).encode())
-        for index, behavior in enumerate(dataset.behavior_names):
-            users, items, timestamps = dataset.arrays(behavior)
-            # index prefix keeps member order stable and behavior names
-            # free of path-separator constraints
-            for label, array in (("users", users), ("items", items),
-                                 ("timestamps", timestamps)):
-                _write_member(archive, f"b{index}_{label}.npy",
-                              _npy_bytes(array))
-    return path
+    # index prefix keeps member names free of path-separator constraints
+    arrays = {f"b{index}_{label}": array
+              for index, behavior in enumerate(dataset.behavior_names)
+              for label, array in zip(_LABELS, dataset.arrays(behavior))}
+    return save_arrays(path, arrays, meta)
 
 
 def load_dataset_npz(path: str | Path) -> tuple[InteractionDataset, dict]:
-    """Load a dataset artifact written by :func:`save_dataset_npz`.
+    """Load (and verify) a dataset artifact written by :func:`save_dataset_npz`.
 
     Returns ``(dataset, meta)`` where ``meta`` carries the artifact
     header (including ``has_timestamps``).
     """
-    path = Path(path)
-    with zipfile.ZipFile(path, "r") as archive:
-        try:
-            meta = json.loads(archive.read("meta.json"))
-        except KeyError:
-            raise ValueError(f"{path} is not a repro dataset artifact "
-                             "(missing meta.json)") from None
-        if meta.get("format") != ARTIFACT_FORMAT:
-            raise ValueError(f"{path}: unsupported artifact format "
-                             f"{meta.get('format')!r}")
-        interactions = {}
-        for index, behavior in enumerate(meta["behavior_names"]):
-            interactions[behavior] = {
-                label: _read_member(archive, f"b{index}_{label}.npy")
-                for label in ("users", "items", "timestamps")
-            }
+    arrays, meta = load_arrays(path)
+    if meta.get("format") not in _READABLE_FORMATS:
+        raise ArchiveFormatError(f"{path}: unsupported artifact format "
+                                 f"{meta.get('format')!r}")
+    expected = {f"b{index}_{label}" for label in _LABELS
+                for index in range(len(meta["behavior_names"]))}
+    if set(arrays) != expected:
+        raise ArchiveFormatError(f"{path}: dataset artifact members "
+                                 f"{sorted(arrays)} != {sorted(expected)}")
+    interactions = {
+        behavior: {label: arrays[f"b{index}_{label}"] for label in _LABELS}
+        for index, behavior in enumerate(meta["behavior_names"])}
     dataset = InteractionDataset(
         name=meta["name"],
         num_users=int(meta["num_users"]),
@@ -380,23 +360,3 @@ def load_dataset_npz(path: str | Path) -> tuple[InteractionDataset, dict]:
         interactions=interactions,
     )
     return dataset, meta
-
-
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, np.ascontiguousarray(array),
-                              allow_pickle=False)
-    return buffer.getvalue()
-
-
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    with archive.open(name) as member:
-        return np.lib.format.read_array(io.BytesIO(member.read()),
-                                        allow_pickle=False)
-
-
-def _write_member(archive: zipfile.ZipFile, name: str, payload: bytes) -> None:
-    info = zipfile.ZipInfo(name, date_time=_EPOCH)
-    info.compress_type = zipfile.ZIP_STORED
-    info.external_attr = 0o600 << 16
-    archive.writestr(info, payload)

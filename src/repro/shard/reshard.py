@@ -214,7 +214,7 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
     """
     from repro.train.resume import (
         TRAIN_STATE_FORMAT,
-        load_training_state,
+        TrainState,
         save_training_state,
     )
     from repro.utils.checkpoint import load_arrays, save_arrays
@@ -227,14 +227,14 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
     strategy = strategy or old_strategy
     is_train_state = meta.get("format") == TRAIN_STATE_FORMAT
     if is_train_state:
-        state = load_training_state(input_path, verify=verify)
+        state = TrainState.from_archive(input_path, arrays, meta)
         new_model, new_opt, tables = reshard_state(
             state.model_state, state.optimizer_states,
             num_shards=num_shards, strategy=strategy,
             old_strategy=old_strategy)
         new_meta = {key: value for key, value in state.meta.items()
                     if key not in ("format", "state_version",
-                                   "optim_scalars", "array_sha256")}
+                                   "optim_scalars")}
         new_meta["config"] = dict(new_meta.get("config", {}),
                                   shards=num_shards)
         new_meta["shard_strategy"] = strategy
@@ -243,10 +243,7 @@ def reshard_file(input_path: str | Path, output_path: str | Path,
         new_model, _, tables = reshard_state(
             arrays, None, num_shards=num_shards, strategy=strategy,
             old_strategy=old_strategy)
-        new_meta = {key: value for key, value in meta.items()
-                    if key != "array_sha256"}
-        new_meta["shards"] = num_shards
-        new_meta["shard_strategy"] = strategy
+        new_meta = dict(meta, shards=num_shards, shard_strategy=strategy)
         save_arrays(output_path, new_model, new_meta)
     return {"format": "train-state" if is_train_state else "checkpoint",
             "tables": tables, "shards": num_shards, "strategy": strategy,

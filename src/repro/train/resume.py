@@ -20,18 +20,19 @@ trainer no longer draws, so :func:`load_training_state` refuses it rather
 than silently continuing on a different stream. Every reader — resume
 and :func:`repro.shard.reshard` alike — goes through that check.
 
-Files are written atomically (:func:`repro.utils.checkpoint.save_arrays`:
-temp file + ``os.replace``), so a crash — including SIGKILL — mid-save
-leaves either the previous complete state or the new one, never a torn
-file, and every array carries a sha256 fingerprint verified on load.
+A state is one archive in the repo's single on-disk format
+(:mod:`repro.utils.checkpoint`, described in ``docs/data.md`` under
+"On-disk archives"): written atomically, so a crash — including SIGKILL —
+mid-save leaves either the previous complete state or the new one, never
+a torn file; byte-deterministic; and hashed, every array verified on load.
 
 Layout inside the ``.npz``:
 
 * ``model::{param}`` — one array per model parameter (``state_dict``),
 * ``optim::{param}::{slot}`` — array-valued optimizer slots (Adam ``m``,
   ``v``, ``row_steps``, …), keyed by the owning parameter's name,
-* scalar optimizer slots and all trainer scalars ride in the JSON
-  metadata block under the archive's reserved key.
+* scalar optimizer slots and all trainer scalars ride in the archive's
+  JSON manifest.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.utils.checkpoint import load_arrays, save_arrays
+from repro.utils.checkpoint import ArchiveFormatError, load_arrays, save_arrays
 
 #: metadata ``format`` tag distinguishing training states from checkpoints
 TRAIN_STATE_FORMAT = "train-state"
@@ -101,6 +102,32 @@ class TrainState:
     def config(self) -> dict:
         return self.meta["config"]
 
+    @classmethod
+    def from_archive(cls, path, arrays: dict[str, np.ndarray],
+                     meta: dict) -> "TrainState":
+        """A loaded archive as a state; refuses anything not resumable."""
+        if meta.get("format") != TRAIN_STATE_FORMAT:
+            raise ArchiveFormatError(
+                f"{path} is not a training state (format="
+                f"{meta.get('format')!r}); plain checkpoints hold no resume "
+                "cursor — pass a file written by TrainConfig.save_state")
+        _check_state_version(path, meta)
+        model_state: dict[str, np.ndarray] = {}
+        optimizer_states: dict[str, dict] = {
+            pname: dict(slots)
+            for pname, slots in meta.get("optim_scalars", {}).items()}
+        for key, value in arrays.items():
+            if key.startswith(_MODEL_PREFIX):
+                model_state[key[len(_MODEL_PREFIX):]] = value
+            elif key.startswith(_OPTIM_PREFIX):
+                pname, slot = key[len(_OPTIM_PREFIX):].rsplit("::", 1)
+                optimizer_states.setdefault(pname, {})[slot] = value
+            else:
+                raise ArchiveFormatError(
+                    f"unrecognized training-state array {key!r}")
+        return cls(model_state=model_state,
+                   optimizer_states=optimizer_states, meta=meta)
+
 
 def save_training_state(path: str | Path, model_state: dict[str, np.ndarray],
                         optimizer_states: dict[str, dict],
@@ -135,26 +162,7 @@ def save_training_state(path: str | Path, model_state: dict[str, np.ndarray],
 def load_training_state(path: str | Path, verify: bool = True) -> TrainState:
     """Read a file written by :func:`save_training_state` (verified)."""
     arrays, meta = load_arrays(path, verify=verify)
-    if meta.get("format") != TRAIN_STATE_FORMAT:
-        raise ValueError(
-            f"{path} is not a training state (format="
-            f"{meta.get('format')!r}); plain checkpoints hold no resume "
-            "cursor — pass a file written by TrainConfig.save_state")
-    _check_state_version(path, meta)
-    model_state: dict[str, np.ndarray] = {}
-    optimizer_states: dict[str, dict] = {
-        pname: dict(slots)
-        for pname, slots in meta.get("optim_scalars", {}).items()}
-    for key, value in arrays.items():
-        if key.startswith(_MODEL_PREFIX):
-            model_state[key[len(_MODEL_PREFIX):]] = value
-        elif key.startswith(_OPTIM_PREFIX):
-            pname, slot = key[len(_OPTIM_PREFIX):].rsplit("::", 1)
-            optimizer_states.setdefault(pname, {})[slot] = value
-        else:
-            raise ValueError(f"unrecognized training-state array {key!r}")
-    return TrainState(model_state=model_state,
-                      optimizer_states=optimizer_states, meta=meta)
+    return TrainState.from_archive(path, arrays, meta)
 
 
 def _check_state_version(path, meta: dict) -> None:

@@ -1,13 +1,17 @@
-"""Utility helpers: checkpointing, content hashing, and timing."""
+"""Utility helpers: the on-disk archive format and content hashing."""
 
 from repro.utils.checkpoint import (
+    ArchiveError,
+    ArchiveFormatError,
     CheckpointIntegrityError,
+    load_arrays,
     load_checkpoint,
     peek_checkpoint,
+    save_arrays,
     save_checkpoint,
 )
 from repro.utils.integrity import array_sha256
-from repro.utils.timing import Timer
 
-__all__ = ["save_checkpoint", "load_checkpoint", "peek_checkpoint",
-           "CheckpointIntegrityError", "array_sha256", "Timer"]
+__all__ = ["save_arrays", "load_arrays", "save_checkpoint", "load_checkpoint",
+           "peek_checkpoint", "ArchiveError", "ArchiveFormatError",
+           "CheckpointIntegrityError", "array_sha256"]
